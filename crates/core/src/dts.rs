@@ -43,6 +43,20 @@ impl Default for DtsConfig {
     }
 }
 
+impl DtsConfig {
+    /// The Equation (5) factor `ε` for a quality ratio `baseRTT/RTT ∈ [0, 1]`,
+    /// in the form this configuration selects. The packet-level [`Dts`] and
+    /// the fluid `Psi::Dts` both read `ε` through here, so a flow handed off
+    /// between regimes keeps its formula.
+    pub fn epsilon(&self, ratio: f64) -> f64 {
+        if self.fixed_point {
+            epsilon_fixed_point(ratio)
+        } else {
+            epsilon_exact(ratio, self.slope, self.midpoint)
+        }
+    }
+}
+
 /// The exact Equation (5) factor for a quality ratio `baseRTT/RTT ∈ [0, 1]`.
 pub fn epsilon_exact(ratio: f64, slope: f64, midpoint: f64) -> f64 {
     2.0 / (1.0 + (-slope * (ratio - midpoint)).exp())
@@ -89,12 +103,7 @@ impl Dts {
 
     /// The ε factor for one subflow's current state.
     pub fn epsilon(&self, f: &SubflowCc) -> f64 {
-        let ratio = f.rtt_ratio();
-        if self.cfg.fixed_point {
-            epsilon_fixed_point(ratio)
-        } else {
-            epsilon_exact(ratio, self.cfg.slope, self.cfg.midpoint)
-        }
+        self.cfg.epsilon(f.rtt_ratio())
     }
 }
 

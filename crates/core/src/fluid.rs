@@ -25,8 +25,19 @@
 //! without clamping and evaluate `F̃`; only the final combined state is
 //! projected back onto `[X_MIN, ∞)`. Off the floor the extension is inert and
 //! the integrator is classic RK4, bit-for-bit (pinned by test).
+//!
+//! # Field evaluation
+//!
+//! Path RTTs are fixed for the life of a solver (the hybrid engine rebuilds
+//! it each epoch), so construction evaluates every path's RTT-only
+//! Equation-(3) terms once (`crate::model`'s path terms: `RTT²`, DTS's
+//! `c·ε_r`, ecMTCP's `RTT³`, DTS-Φ's price gradient). A field evaluation then
+//! scatters rates onto links, prices each link, and per flow forms its
+//! aggregates once before combining them per path — no transcendental and
+//! no per-path pass over the flow's other paths. The result is pinned bit
+//! for bit against the verbatim-formula oracle for every ψ/φ variant.
 
-use crate::model::{CcModel, FlowView};
+use crate::model::{CcModel, FlowTerms, PathTerms};
 
 /// Minimum rate floor (packets/second): flows never go extinct, matching the
 /// one-packet window floor of the packet level.
@@ -170,30 +181,6 @@ impl FluidNet {
         y
     }
 
-    /// `dx/dt` for every flow-path under state `x` (one-shot convenience;
-    /// the solver's flat evaluation is the hot path).
-    pub fn derivatives(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let y = self.link_rates(x);
-        let prices: Vec<f64> = self.links.iter().zip(&y).map(|(l, &yl)| l.price(yl)).collect();
-        self.flows
-            .iter()
-            .enumerate()
-            .map(|(f, flow)| {
-                let rtts: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
-                let bases: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
-                let view = FlowView { x: &x[f], rtt: &rtts, base_rtt: &bases };
-                flow.paths
-                    .iter()
-                    .enumerate()
-                    .map(|(p, path)| {
-                        let lambda: f64 = path.links.iter().map(|&l| prices[l]).sum();
-                        flow.model.dxdt(p, &view, lambda)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Builds a flat solver over this net starting from state `x0`.
     ///
     /// # Panics
@@ -293,52 +280,65 @@ struct FlatTopo {
     path_off: Vec<usize>,
     /// Per-path RTT (seconds), flow-major.
     rtt: Vec<f64>,
-    /// Per-path base RTT (seconds), flow-major.
-    base_rtt: Vec<f64>,
+    /// Per-path RTT-only Equation-(3) terms, flow-major.
+    terms: Vec<PathTerms>,
     /// Path `p` crosses links `link_idx[link_off[p]..link_off[p+1]]`.
     link_off: Vec<usize>,
-    /// CSR link indices.
-    link_idx: Vec<usize>,
+    /// CSR link indices, narrowed to `u32` to halve the index traffic of
+    /// the scatter/gather passes.
+    link_idx: Vec<u32>,
 }
 
 /// Preallocated integration scratch.
 struct Scratch {
-    /// Clamped copy of the stage state (the constant extension `F̃`).
+    /// The stage state clamped to the floor (the constant extension `F̃`).
     xc: Vec<f64>,
     /// RK4 stage derivatives.
     k1: Vec<f64>,
     k2: Vec<f64>,
     k3: Vec<f64>,
     k4: Vec<f64>,
-    /// Unclamped stage state.
-    stage: Vec<f64>,
     /// Per-link aggregate rates.
     y: Vec<f64>,
     /// Per-link prices.
     prices: Vec<f64>,
 }
 
+/// Writes the stage state `s` into `xc`, clamped to the floor.
+fn clamp_into(xc: &mut [f64], s: impl Iterator<Item = f64>) {
+    for (c, v) in xc.iter_mut().zip(s) {
+        *c = v.max(X_MIN);
+    }
+}
+
 impl FlatTopo {
-    /// Evaluates the constantly-extended field `F̃(xs) = F(max(xs, X_MIN))`
-    /// into `out`, using `xc`/`y`/`prices` as scratch. Counts price-cap hits.
+    /// Path `p`'s links.
+    fn links_of(&self, p: usize) -> &[u32] {
+        &self.link_idx[self.link_off[p]..self.link_off[p + 1]]
+    }
+
+    /// Aggregate rate per link under the flat state `xc`.
+    fn scatter(&self, xc: &[f64], y: &mut [f64]) {
+        y.fill(0.0);
+        for (p, &xv) in xc.iter().enumerate() {
+            for &l in self.links_of(p) {
+                y[l as usize] += xv;
+            }
+        }
+    }
+
+    /// Evaluates `F` at the floor-clamped stage state `xc` — i.e. `F̃` at the
+    /// unclamped stage — into `out`, using `y`/`prices` as scratch. Counts
+    /// price-cap hits.
     fn field(
         &self,
-        xs: &[f64],
-        xc: &mut [f64],
+        xc: &[f64],
         y: &mut [f64],
         prices: &mut [f64],
         out: &mut [f64],
         cap_hits: &mut u64,
     ) {
-        for (c, &v) in xc.iter_mut().zip(xs) {
-            *c = v.max(X_MIN);
-        }
-        y.fill(0.0);
-        for (p, &xv) in xc.iter().enumerate() {
-            for &l in &self.link_idx[self.link_off[p]..self.link_off[p + 1]] {
-                y[l] += xv;
-            }
-        }
+        self.scatter(xc, y);
         for l in 0..prices.len() {
             let (pv, capped) = price_of(self.p0[l], self.exponent[l], self.capacity[l], y[l]);
             prices[l] = pv;
@@ -346,19 +346,12 @@ impl FlatTopo {
                 *cap_hits = cap_hits.saturating_add(1);
             }
         }
-        for f in 0..self.models.len() {
+        for (f, model) in self.models.iter().enumerate() {
             let r = self.path_off[f]..self.path_off[f + 1];
-            let view = FlowView {
-                x: &xc[r.clone()],
-                rtt: &self.rtt[r.clone()],
-                base_rtt: &self.base_rtt[r.clone()],
-            };
-            for (local, p) in r.enumerate() {
-                let lambda: f64 = self.link_idx[self.link_off[p]..self.link_off[p + 1]]
-                    .iter()
-                    .map(|&l| prices[l])
-                    .sum();
-                out[p] = self.models[f].dxdt(local, &view, lambda);
+            let agg = FlowTerms::of(&model.psi, &xc[r.clone()], &self.rtt[r.clone()]);
+            for p in r {
+                let lambda: f64 = self.links_of(p).iter().map(|&l| prices[l as usize]).sum();
+                out[p] = model.rate(xc[p], self.rtt[p], &self.terms[p], &agg, lambda);
             }
         }
     }
@@ -381,66 +374,61 @@ impl FluidSolver {
     /// link index out of range.
     pub fn from_state(net: &FluidNet, x0: &[Vec<f64>]) -> Self {
         assert_eq!(x0.len(), net.flows.len(), "x0 must have one row per flow");
+        for (f, (row, flow)) in x0.iter().zip(&net.flows).enumerate() {
+            assert_eq!(row.len(), flow.paths.len(), "x0 row {f} must match the flow's paths");
+        }
+        FluidSolver::from_flat_state(net, &x0.concat())
+    }
+
+    /// Builds a solver from `net` with the state given flat (flow-major, as
+    /// [`FluidSolver::x`] exposes it) — the zero-copy path the hybrid engine
+    /// uses across epochs. Evaluates every path's RTT-only terms here, once.
+    ///
+    /// # Panics
+    /// Panics if `x0`'s length does not equal the net's total path count, if
+    /// a path references a link index out of range, or if the net has more
+    /// than `u32::MAX` links.
+    pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
         let n_links = net.links.len();
+        assert!(u32::try_from(n_links).is_ok(), "{n_links} links overflow the u32 link index");
         let mut topo = FlatTopo {
             capacity: net.links.iter().map(|l| l.capacity).collect(),
             p0: net.links.iter().map(|l| l.p0).collect(),
             exponent: net.links.iter().map(|l| l.exponent).collect(),
             models: net.flows.iter().map(|f| f.model).collect(),
             path_off: Vec::with_capacity(net.flows.len() + 1),
-            rtt: Vec::new(),
-            base_rtt: Vec::new(),
-            link_off: Vec::new(),
+            rtt: Vec::with_capacity(x0.len()),
+            terms: Vec::with_capacity(x0.len()),
+            link_off: Vec::with_capacity(x0.len() + 1),
             link_idx: Vec::new(),
         };
-        let mut x = Vec::new();
         topo.path_off.push(0);
         topo.link_off.push(0);
-        for (f, flow) in net.flows.iter().enumerate() {
-            assert_eq!(x0[f].len(), flow.paths.len(), "x0 row {f} must match the flow's paths");
-            for (p, path) in flow.paths.iter().enumerate() {
+        for flow in &net.flows {
+            for path in &flow.paths {
                 topo.rtt.push(path.rtt);
-                topo.base_rtt.push(path.base_rtt);
+                topo.terms.push(PathTerms::new(&flow.model, path.rtt, path.base_rtt));
                 for &l in &path.links {
                     assert!(l < n_links, "path references link {l} of {n_links}");
-                    topo.link_idx.push(l);
+                    // In range of u32: `l < n_links`, checked to fit above.
+                    topo.link_idx.push(l as u32);
                 }
                 topo.link_off.push(topo.link_idx.len());
-                x.push(x0[f][p]);
             }
             topo.path_off.push(topo.rtt.len());
         }
-        let n_paths = x.len();
+        let n_paths = topo.rtt.len();
+        assert_eq!(x0.len(), n_paths, "flat x0 must have one entry per path");
         let ws = Scratch {
             xc: vec![0.0; n_paths],
             k1: vec![0.0; n_paths],
             k2: vec![0.0; n_paths],
             k3: vec![0.0; n_paths],
             k4: vec![0.0; n_paths],
-            stage: vec![0.0; n_paths],
             y: vec![0.0; n_links],
             prices: vec![0.0; n_links],
         };
-        FluidSolver { topo, ws, x, price_cap_hits: 0 }
-    }
-
-    /// Builds a solver from `net` with the state given flat (flow-major, as
-    /// [`FluidSolver::x`] exposes it) — the zero-copy path the hybrid engine
-    /// uses across epochs.
-    ///
-    /// # Panics
-    /// Panics if `x0`'s length does not equal the net's total path count, or
-    /// a path references a link index out of range.
-    pub fn from_flat_state(net: &FluidNet, x0: &[f64]) -> Self {
-        let total: usize = net.flows.iter().map(|f| f.paths.len()).sum();
-        assert_eq!(x0.len(), total, "flat x0 must have one entry per path");
-        let mut nested = Vec::with_capacity(net.flows.len());
-        let mut off = 0;
-        for flow in &net.flows {
-            nested.push(x0[off..off + flow.paths.len()].to_vec());
-            off += flow.paths.len();
-        }
-        FluidSolver::from_state(net, &nested)
+        FluidSolver { topo, ws, x: x0.to_vec(), price_cap_hits: 0 }
     }
 
     /// Number of flows.
@@ -471,16 +459,8 @@ impl FluidSolver {
     /// Per-link aggregate rates under the *current* state (clamped to the
     /// floor, as the field sees them). Recomputed into the scratch buffer.
     pub fn link_rates(&mut self) -> &[f64] {
-        for (c, &v) in self.ws.xc.iter_mut().zip(&self.x) {
-            *c = v.max(X_MIN);
-        }
-        self.ws.y.fill(0.0);
-        for p in 0..self.ws.xc.len() {
-            let xv = self.ws.xc[p];
-            for &l in &self.topo.link_idx[self.topo.link_off[p]..self.topo.link_off[p + 1]] {
-                self.ws.y[l] += xv;
-            }
-        }
+        clamp_into(&mut self.ws.xc, self.x.iter().copied());
+        self.topo.scatter(&self.ws.xc, &mut self.ws.y);
         &self.ws.y
     }
 
@@ -494,19 +474,16 @@ impl FluidSolver {
     pub fn step(&mut self, dt: f64) {
         let t = &self.topo;
         let w = &mut self.ws;
-        t.field(&self.x, &mut w.xc, &mut w.y, &mut w.prices, &mut w.k1, &mut self.price_cap_hits);
-        for i in 0..self.x.len() {
-            w.stage[i] = self.x[i] + (dt / 2.0) * w.k1[i];
-        }
-        t.field(&w.stage, &mut w.xc, &mut w.y, &mut w.prices, &mut w.k2, &mut self.price_cap_hits);
-        for i in 0..self.x.len() {
-            w.stage[i] = self.x[i] + (dt / 2.0) * w.k2[i];
-        }
-        t.field(&w.stage, &mut w.xc, &mut w.y, &mut w.prices, &mut w.k3, &mut self.price_cap_hits);
-        for i in 0..self.x.len() {
-            w.stage[i] = self.x[i] + dt * w.k3[i];
-        }
-        t.field(&w.stage, &mut w.xc, &mut w.y, &mut w.prices, &mut w.k4, &mut self.price_cap_hits);
+        let hits = &mut self.price_cap_hits;
+        let x = &self.x;
+        clamp_into(&mut w.xc, x.iter().copied());
+        t.field(&w.xc, &mut w.y, &mut w.prices, &mut w.k1, hits);
+        clamp_into(&mut w.xc, x.iter().zip(&w.k1).map(|(&x, &k)| x + (dt / 2.0) * k));
+        t.field(&w.xc, &mut w.y, &mut w.prices, &mut w.k2, hits);
+        clamp_into(&mut w.xc, x.iter().zip(&w.k2).map(|(&x, &k)| x + (dt / 2.0) * k));
+        t.field(&w.xc, &mut w.y, &mut w.prices, &mut w.k3, hits);
+        clamp_into(&mut w.xc, x.iter().zip(&w.k3).map(|(&x, &k)| x + dt * k));
+        t.field(&w.xc, &mut w.y, &mut w.prices, &mut w.k4, hits);
         for i in 0..self.x.len() {
             let d = (w.k1[i] + 2.0 * w.k2[i] + 2.0 * w.k3[i] + w.k4[i]) / 6.0;
             self.x[i] = (self.x[i] + dt * d).max(X_MIN);
@@ -560,6 +537,7 @@ pub fn disjoint_paths_net(model: CcModel, caps: &[f64], rtts: &[f64]) -> FluidNe
 mod tests {
     use super::*;
     use crate::model::{CcModel, Psi};
+    use crate::oracle;
 
     fn reno_single(cap: f64, rtt: f64) -> FluidNet {
         disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[cap], &[rtt])
@@ -699,113 +677,86 @@ mod tests {
         assert!(report.residual > 1e-10);
     }
 
-    // ---- RK4 stage handling (satellite: classic RK4 off the floor) ----
+    // ---- bit-identity against the verbatim-formula oracle ----
 
-    /// The pre-refactor nested-`Vec` integrator, kept verbatim as the
-    /// reference for byte-identity: price *uncapped* (as before the fix) and
-    /// the stage floor applied inside `add`. The constant-extension field is
-    /// provably the same map (`F(clamp(s))` vs `clamp` inside `add`), so the
-    /// flat solver must reproduce it bit for bit wherever prices stay below
-    /// the cap.
-    fn reference_rk4_step(net: &FluidNet, x: &[Vec<f64>], dt: f64) -> Vec<Vec<f64>> {
-        let deriv =
-            |x: &[Vec<f64>]| -> Vec<Vec<f64>> {
-                let y = net.link_rates(x);
-                let prices: Vec<f64> =
-                    net.links
-                        .iter()
-                        .zip(&y)
-                        .map(|(l, &yl)| {
-                            if yl <= 0.0 {
-                                0.0
-                            } else {
-                                l.p0 * (yl / l.capacity).powf(l.exponent)
-                            }
-                        })
-                        .collect();
-                net.flows
-                    .iter()
-                    .enumerate()
-                    .map(|(f, flow)| {
-                        let rtts: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
-                        let bases: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
-                        let view = FlowView { x: &x[f], rtt: &rtts, base_rtt: &bases };
-                        flow.paths
-                            .iter()
-                            .enumerate()
-                            .map(|(p, path)| {
-                                let lambda: f64 = path.links.iter().map(|&l| prices[l]).sum();
-                                flow.model.dxdt(p, &view, lambda)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            };
-        let add = |a: &[Vec<f64>], b: &[Vec<f64>], s: f64| -> Vec<Vec<f64>> {
-            a.iter()
-                .zip(b)
-                .map(|(ar, br)| {
-                    ar.iter().zip(br).map(|(&av, &bv)| (av + s * bv).max(X_MIN)).collect()
-                })
-                .collect()
-        };
-        let k1 = deriv(x);
-        let k2 = deriv(&add(x, &k1, dt / 2.0));
-        let k3 = deriv(&add(x, &k2, dt / 2.0));
-        let k4 = deriv(&add(x, &k3, dt));
-        x.iter()
-            .enumerate()
-            .map(|(f, xr)| {
-                xr.iter()
-                    .enumerate()
-                    .map(|(p, &v)| {
-                        let d = (k1[f][p] + 2.0 * k2[f][p] + 2.0 * k3[f][p] + k4[f][p]) / 6.0;
-                        (v + dt * d).max(X_MIN)
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], step: usize) {
+    fn assert_bits_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
         for (ra, rb) in a.iter().zip(b) {
             for (va, vb) in ra.iter().zip(rb) {
-                assert_eq!(va.to_bits(), vb.to_bits(), "step {step}: {va} vs {vb}");
+                assert_eq!(va.to_bits(), vb.to_bits(), "{what}: {va} vs {vb}");
             }
         }
     }
 
+    /// Three flows (2, 3 and 1 paths) over four links, each link shared by
+    /// at least two paths, every RTT above its base RTT.
+    fn shared_net(model: CcModel, caps: [f64; 4]) -> FluidNet {
+        let mut net = FluidNet::new();
+        let l: Vec<usize> = caps.iter().map(|&c| net.add_link(FluidLink::new(c))).collect();
+        let path = |links: &[usize], rtt: f64, base_rtt: f64| FluidPath {
+            links: links.iter().map(|&i| l[i]).collect(),
+            rtt,
+            base_rtt,
+        };
+        let flows = [
+            vec![path(&[0, 1], 0.12, 0.08), path(&[2], 0.05, 0.04)],
+            vec![path(&[1, 3], 0.09, 0.06), path(&[0], 0.2, 0.07), path(&[2, 3], 0.07, 0.05)],
+            vec![path(&[3], 0.15, 0.1)],
+        ];
+        for paths in flows {
+            net.add_flow(FluidFlow { model, paths });
+        }
+        net
+    }
+
+    /// Steps the flat solver and the oracle side by side for every model,
+    /// asserting equal bits after every step; returns per model the number
+    /// of rates that sat exactly on the floor and the solver's cap hits.
+    fn pin_every_model(caps: [f64; 4], x0: &[Vec<f64>], dt: f64) -> Vec<(CcModel, u64, u64)> {
+        oracle::all_models()
+            .into_iter()
+            .map(|model| {
+                let net = shared_net(model, caps);
+                let mut solver = net.solver_from(x0);
+                let mut reference = x0.to_vec();
+                let mut on_floor = 0;
+                for step in 0..2_000 {
+                    solver.step(dt);
+                    reference = oracle::rk4_step(&net, &reference, dt);
+                    assert_bits_eq(&solver.state(), &reference, &format!("{model:?} step {step}"));
+                    on_floor += solver.x().iter().filter(|&&v| v <= X_MIN).count() as u64;
+                }
+                assert!(solver.x().iter().all(|v| v.is_finite()), "{model:?} diverged");
+                (model, on_floor, solver.price_cap_hits())
+            })
+            .collect()
+    }
+
     #[test]
-    fn off_floor_trajectory_is_byte_identical_to_classic_rk4() {
-        // Off the floor (all stage states ≥ X_MIN, prices < 1) the flat
-        // solver, the constant extension, and the pre-fix integrator are the
-        // same classic RK4, bit for bit.
-        let net =
-            disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[1000.0, 2000.0], &[0.1, 0.05]);
-        let mut solver = net.solver_from(&[vec![10.0, 10.0]]);
-        let mut reference = vec![vec![10.0, 10.0]];
-        for step in 0..5_000 {
-            solver.step(1e-3);
-            reference = reference_rk4_step(&net, &reference, 1e-3);
-            assert_bits_eq(&solver.state(), &reference, step);
+    fn off_floor_trajectory_is_bit_identical_to_oracle_for_every_model() {
+        let x0 = [vec![50.0; 2], vec![50.0; 3], vec![50.0]];
+        for (model, on_floor, hits) in pin_every_model([2000.0, 1500.0, 2500.0, 1000.0], &x0, 1e-3)
+        {
+            assert_eq!((on_floor, hits), (0, 0), "{model:?} left the off-floor regime");
         }
     }
 
     #[test]
-    fn near_floor_trajectory_is_byte_identical_to_reference() {
-        // The starved path rides the X_MIN floor: the constant extension
-        // still reproduces the reference map bit for bit, because
-        // F̃(s) = F(max(s, X_MIN)) is exactly what the stage clamp computed.
-        let net =
-            disjoint_paths_net(CcModel::loss_based(Psi::Olia), &[10.0, 10000.0], &[1.0, 0.01]);
-        let mut solver = net.solver_from(&[vec![5.0, 5.0]]);
-        let mut reference = vec![vec![5.0, 5.0]];
-        for step in 0..5_000 {
-            solver.step(1e-3);
-            reference = reference_rk4_step(&net, &reference, 1e-3);
-            assert_bits_eq(&solver.state(), &reference, step);
+    fn on_floor_trajectory_is_bit_identical_to_oracle_for_every_model() {
+        // Rates start at and below the floor, and a starved slow link keeps
+        // pushing its paths back onto it: F̃(s) = F(max(s, X_MIN)) and the
+        // final projection are both exercised.
+        let x0 = [vec![0.5, 5.0], vec![0.0, 3.0, 0.2], vec![4.0]];
+        for (model, on_floor, _) in pin_every_model([10.0, 2000.0, 2000.0, 5.0], &x0, 1e-3) {
+            assert!(on_floor > 0, "{model:?} never touched the floor");
         }
-        assert!(solver.x().iter().all(|&v| v >= X_MIN));
+    }
+
+    #[test]
+    fn price_capped_trajectory_is_bit_identical_to_oracle_for_every_model() {
+        let x0 = [vec![500.0; 2], vec![500.0; 3], vec![500.0]];
+        for (model, _, hits) in pin_every_model([10.0, 8.0, 12.0, 6.0], &x0, 1e-4) {
+            assert!(hits > 0, "{model:?} never hit the price cap");
+        }
     }
 
     // ---- calibrated links (hybrid handoff support) ----
@@ -837,7 +788,7 @@ mod tests {
         let mut solver = net.solver_from(&[vec![10.0, 20.0]]);
         solver.run(1e-3, 1_000);
         let nested = net.run(vec![vec![10.0, 20.0]], 1e-3, 1_000);
-        assert_bits_eq(&solver.state(), &nested, 1_000);
+        assert_bits_eq(&solver.state(), &nested, "run");
         let y = solver.link_rates().to_vec();
         let y_nested = net.link_rates(&nested);
         for (a, b) in y.iter().zip(&y_nested) {

@@ -37,6 +37,14 @@
 //! println!("LIA: {:.1} J, DTS: {:.1} J", lia.energy.joules, dts.energy.joules);
 //! ```
 
+// Lets the shared test oracle name this crate as its integration-test
+// includers do.
+#[cfg(test)]
+extern crate self as mptcp_energy;
+#[cfg(test)]
+#[path = "../tests/support/oracle.rs"]
+mod oracle;
+
 pub mod conditions;
 pub mod dts;
 pub mod dts_phi;

@@ -1,10 +1,19 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants: congestion-control window safety, the DTS sigmoid, summary
-//! statistics, the fluid solver's floors, and workload samplers.
+//! statistics, the fluid solver's floors and its bit-identity to the
+//! verbatim Equation-(3) oracle, and workload samplers.
 
 use congestion::{AlgorithmKind, SubflowCc, MAX_CWND, MIN_CWND};
-use mptcp_energy::{epsilon_exact, epsilon_fixed_point, CcModel, FiveNumber, FlowView, Psi};
+use mptcp_energy::{
+    epsilon_exact, epsilon_fixed_point, CcModel, FiveNumber, FlowView, FluidFlow, FluidLink,
+    FluidNet, FluidPath, FluidSolver, Psi,
+};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+#[path = "../crates/core/tests/support/oracle.rs"]
+mod oracle;
 
 /// A random but valid subflow state.
 fn subflow_strategy() -> impl Strategy<Value = SubflowCc> {
@@ -16,6 +25,37 @@ fn subflow_strategy() -> impl Strategy<Value = SubflowCc> {
         f.observe_rtt(rtt);
         f
     })
+}
+
+/// A random small fluid net from `seed`: 1–5 links; 1–4 flows, each with a
+/// random Equation-(3) model and 1–4 paths over 1–3 (shared) links with
+/// RTT ≥ base RTT; and a start state that may sit below the rate floor.
+fn random_fluid_net(seed: u64) -> (FluidNet, Vec<Vec<f64>>) {
+    let models = oracle::all_models();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut net = FluidNet::new();
+    let n_links = rng.gen_range(1..6);
+    for _ in 0..n_links {
+        net.add_link(FluidLink::new(rng.gen_range(5.0..5000.0)));
+    }
+    let mut x0 = Vec::new();
+    for _ in 0..rng.gen_range(1..5) {
+        let model = models[rng.gen_range(0..models.len())];
+        let paths: Vec<FluidPath> = (0..rng.gen_range(1..5))
+            .map(|_| {
+                let links = (0..rng.gen_range(1..4)).map(|_| rng.gen_range(0..n_links)).collect();
+                let base_rtt = rng.gen_range(0.001..0.2);
+                FluidPath { links, rtt: base_rtt * rng.gen_range(1.0..3.0), base_rtt }
+            })
+            .collect();
+        x0.push((0..paths.len()).map(|_| rng.gen_range(0.0..800.0)).collect());
+        net.add_flow(FluidFlow { model, paths });
+    }
+    (net, x0)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// A random event script: per-subflow ack/loss/timeout choices.
@@ -153,12 +193,39 @@ proptest! {
         }
     }
 
+    /// `CcModel::dxdt` and every flat-solver RK4 step equal the
+    /// verbatim-formula oracle bit for bit on any small net, and after a run
+    /// the solver's link rates equal the nested API's on the same state.
+    #[test]
+    fn fluid_step_is_bit_identical_to_the_oracle(seed in any::<u64>(), dt in 1e-4f64..2e-3) {
+        let (net, mut want) = random_fluid_net(seed);
+        for (flow, x) in net.flows.iter().zip(&want) {
+            let x: Vec<f64> = x.iter().map(|v| v.max(mptcp_energy::fluid::X_MIN)).collect();
+            let rtt: Vec<f64> = flow.paths.iter().map(|p| p.rtt).collect();
+            let base_rtt: Vec<f64> = flow.paths.iter().map(|p| p.base_rtt).collect();
+            let v = FlowView { x: &x, rtt: &rtt, base_rtt: &base_rtt };
+            for r in 0..x.len() {
+                let lambda = dt * 100.0 * r as f64;
+                let got = flow.model.dxdt(r, &v, lambda);
+                let oracle = oracle::dxdt(&flow.model, r, &v, lambda);
+                prop_assert_eq!(got.to_bits(), oracle.to_bits(), "seed {} path {}", seed, r);
+            }
+        }
+        let mut solver = FluidSolver::from_state(&net, &want);
+        for step in 0..50 {
+            solver.step(dt);
+            want = oracle::rk4_step(&net, &want, dt);
+            prop_assert_eq!(bits(solver.x()), bits(&want.concat()), "seed {} step {}", seed, step);
+        }
+        solver.run(dt, 200);
+        let nested = net.link_rates(&solver.state());
+        prop_assert_eq!(bits(solver.link_rates()), bits(&nested), "seed {}", seed);
+    }
+
     /// Pareto samples never fall below the scale parameter and exponential
     /// samples are non-negative.
     #[test]
     fn workload_samplers_are_sane(seed in any::<u64>(), mean in 0.5f64..50.0) {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let shape = 1.5;
         let scale = mean * (shape - 1.0) / shape;
@@ -174,8 +241,6 @@ proptest! {
     /// Permutation pairs never map a host to itself and cover every source.
     #[test]
     fn permutations_have_no_fixed_points(seed in any::<u64>(), n in 2usize..200) {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let mut rng = SmallRng::seed_from_u64(seed);
         let pairs = workload::permutation_pairs(n, &mut rng);
         prop_assert_eq!(pairs.len(), n);
