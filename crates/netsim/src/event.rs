@@ -2,51 +2,15 @@
 //!
 //! Events are ordered by `(time, insertion sequence)` so that simultaneous
 //! events fire in FIFO order, which makes runs deterministic regardless of
-//! queue internals.
-//!
-//! Two interchangeable backends implement that contract (selected by
-//! [`QueueKind`], see `sim::EngineConfig`):
-//!
-//! * [`QueueKind::TimerWheel`] — the default hot-path engine: a single-level
-//!   calendar queue of `NUM_BUCKETS` buckets of `2^BUCKET_SHIFT` ns each
-//!   (≈131 µs buckets, ≈134 ms wheel horizon), with an occupancy bitmap for
-//!   O(words) next-bucket scans and a binary-heap *far list* for events past
-//!   the horizon (RTO timers, watchdog-scale timers). Pushes are O(1); pops
-//!   stage one bucket at a time, sorting its handful of events once.
-//! * [`QueueKind::BinaryHeap`] — the reference engine (the pre-wheel
-//!   implementation), kept so byte-identity of the two backends can be pinned
-//!   (`tests/sweep_determinism.rs`).
-//!
-//! Both backends extract the exact global minimum under `(time, seq)`, so a
-//! run's event order — and therefore its entire evolution — is identical
-//! whichever is active.
+//! queue internals. The queue is a plain [`BinaryHeap`]; an [`Event`] is 40
+//! bytes because packets ride in it as a [`PacketSlot`] slab index rather
+//! than inline or boxed.
 
 use crate::packet::{AgentId, LinkId};
 use crate::pool::PacketSlot;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Log2 of the wheel bucket width in nanoseconds (2^17 ns ≈ 131 µs).
-const BUCKET_SHIFT: u32 = 17;
-/// Number of wheel buckets; the horizon is `NUM_BUCKETS << BUCKET_SHIFT` ns
-/// (≈134 ms). Must be a power of two.
-const NUM_BUCKETS: usize = 1024;
-/// Words in the occupancy bitmap.
-const OCC_WORDS: usize = NUM_BUCKETS / 64;
-/// Initial capacity reserved per bucket, so steady-state operation does not
-/// allocate (pinned by `tests/trace_noalloc.rs`).
-const BUCKET_PREALLOC: usize = 4;
-
-/// Which event-queue backend a simulator runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Bucketed calendar queue with far-future heap fallback (default).
-    #[default]
-    TimerWheel,
-    /// Plain binary heap — the reference implementation for identity tests.
-    BinaryHeap,
-}
+use std::collections::BinaryHeap;
 
 /// Kinds of scheduled work.
 #[derive(Debug)]
@@ -98,430 +62,134 @@ impl Ord for Event {
     }
 }
 
-#[inline]
-fn bucket_of(at: SimTime) -> u64 {
-    at.as_nanos() >> BUCKET_SHIFT
-}
-
-/// The calendar-queue backend.
-///
-/// Invariants:
-/// * every ring event's bucket lies in `[cur, cur + NUM_BUCKETS)`;
-/// * every far-list event's bucket is `>= cur + NUM_BUCKETS`;
-/// * `staged` holds (part of) bucket `staged_bucket == cur`, sorted
-///   *ascending* by `(at, seq)` and drained from the front;
-/// * pushes never predate the last popped event (the simulator only
-///   schedules at or after `now`), so `bucket(at) >= cur` always holds.
-///
-/// `staged` is a `VecDeque` on purpose: a push into the mid-drain bucket
-/// almost always carries the bucket's largest `(at, seq)` key (it is
-/// scheduled after everything already there, and carries the globally
-/// largest seq), so the hot insert is an O(1) `push_back` instead of a
-/// front-biased `Vec::insert` memmove. When serialization time is shorter
-/// than a bucket, nearly every `LinkTxDone` takes this path.
-#[derive(Debug)]
-struct Wheel {
-    slots: Vec<Vec<Event>>,
-    occ: [u64; OCC_WORDS],
-    /// Absolute bucket index of the wheel position.
-    cur: u64,
-    /// The staged (current) bucket, sorted ascending; drained from the front.
-    staged: VecDeque<Event>,
-    staged_bucket: u64,
-    /// Events beyond the wheel horizon.
-    far: BinaryHeap<Event>,
-    count: usize,
-}
-
-impl Wheel {
-    fn new() -> Self {
-        Wheel {
-            slots: (0..NUM_BUCKETS).map(|_| Vec::with_capacity(BUCKET_PREALLOC)).collect(),
-            occ: [0; OCC_WORDS],
-            cur: 0,
-            staged: VecDeque::with_capacity(BUCKET_PREALLOC),
-            staged_bucket: 0,
-            far: BinaryHeap::new(),
-            count: 0,
-        }
-    }
-
-    #[inline]
-    fn slot_index(b: u64) -> usize {
-        (b % NUM_BUCKETS as u64) as usize
-    }
-
-    #[inline]
-    fn set_occ(&mut self, slot: usize) {
-        self.occ[slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    #[inline]
-    fn clear_occ(&mut self, slot: usize) {
-        self.occ[slot / 64] &= !(1u64 << (slot % 64));
-    }
-
-    fn push(&mut self, ev: Event) {
-        // `cur` only advances on pops (it tracks the last popped bucket), so
-        // after a long event-free stretch new pushes may land on the far
-        // list even though they are near `now`; the next pop jumps the
-        // window forward and migrates them back. Pushes can never land
-        // *behind* `cur`: the simulator only schedules at or after `now`.
-        let b = bucket_of(ev.at);
-        debug_assert!(b >= self.cur, "event scheduled before the wheel position");
-        self.count += 1;
-        if !self.staged.is_empty() && b == self.staged_bucket {
-            // The staged bucket is mid-drain: keep it sorted ascending. A
-            // fresh event carries the largest seq, so unless it is scheduled
-            // strictly earlier than something still staged it is the new
-            // maximum and appends in O(1).
-            let key = ev.key();
-            if self.staged.back().is_some_and(|last| last.key() < key) {
-                self.staged.push_back(ev);
-            } else {
-                let pos = self
-                    .staged
-                    .binary_search_by(|probe| probe.key().cmp(&key))
-                    .unwrap_or_else(|p| p);
-                self.staged.insert(pos, ev);
-            }
-        } else if b < self.cur + NUM_BUCKETS as u64 {
-            let slot = Self::slot_index(b);
-            self.slots[slot].push(ev);
-            self.set_occ(slot);
-        } else {
-            self.far.push(ev);
-        }
-    }
-
-    /// First occupied slot at or after `from`, as an offset in
-    /// `0..NUM_BUCKETS`, scanning the bitmap a word at a time.
-    fn next_occupied_offset(&self, from: usize) -> Option<usize> {
-        let first_word = from / 64;
-        // First word: mask off bits below `from`.
-        let mut word = self.occ[first_word] & (!0u64 << (from % 64));
-        let mut widx = first_word;
-        for step in 0..=OCC_WORDS {
-            if word != 0 {
-                let bit = widx * 64 + word.trailing_zeros() as usize;
-                let offset = (bit + NUM_BUCKETS - from) % NUM_BUCKETS;
-                // `step == OCC_WORDS` revisits the first word; only bits
-                // *below* `from` (already wrapped past) are valid there.
-                if step == OCC_WORDS && bit >= from {
-                    return None;
-                }
-                return Some(offset);
-            }
-            widx = (widx + 1) % OCC_WORDS;
-            word = self.occ[widx];
-            if step + 1 == OCC_WORDS {
-                // Last lap: re-examine the first word's low bits (wrapped).
-                word = self.occ[first_word] & !(!0u64 << (from % 64));
-                widx = first_word;
-                if from.is_multiple_of(64) {
-                    break;
-                }
-            }
-        }
-        None
-    }
-
-    /// Ensures the next event (if any) sits at the back of `staged`.
-    fn ensure_staged(&mut self) -> bool {
-        if !self.staged.is_empty() {
-            return true;
-        }
-        if self.count == 0 {
-            return false;
-        }
-        loop {
-            // Pull far-list events that now fall inside the window.
-            while let Some(top) = self.far.peek() {
-                if bucket_of(top.at) >= self.cur + NUM_BUCKETS as u64 {
-                    break;
-                }
-                // simlint: allow(P001, invariant: peek just returned Some on this non-empty heap)
-                let ev = self.far.pop().expect("peeked far event vanished");
-                let slot = Self::slot_index(bucket_of(ev.at));
-                self.slots[slot].push(ev);
-                self.set_occ(slot);
-            }
-            let cur_slot = Self::slot_index(self.cur);
-            if let Some(offset) = self.next_occupied_offset(cur_slot) {
-                let b = self.cur + offset as u64;
-                let slot = Self::slot_index(b);
-                debug_assert!(!self.slots[slot].is_empty());
-                let mut bucket = std::mem::take(&mut self.slots[slot]);
-                self.clear_occ(slot);
-                // Ascending sort: the earliest (time, seq) pops from the
-                // front. Vec -> VecDeque is O(1) and reuses the allocation.
-                bucket.sort_unstable_by_key(Event::key);
-                self.staged = VecDeque::from(bucket);
-                self.staged_bucket = b;
-                self.cur = b;
-                return true;
-            }
-            // Ring empty; jump the window to the far list.
-            match self.far.peek() {
-                Some(top) => self.cur = bucket_of(top.at),
-                None => {
-                    debug_assert_eq!(self.count, 0);
-                    return false;
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        if !self.ensure_staged() {
-            return None;
-        }
-        let ev = self.staged.pop_front();
-        if ev.is_some() {
-            self.count -= 1;
-            if self.staged.is_empty() {
-                // Hand the drained buffer's capacity back to its slot so
-                // steady-state cycling over buckets reuses allocations.
-                // An empty VecDeque converts to a Vec in O(1).
-                let slot = Self::slot_index(self.staged_bucket);
-                if self.slots[slot].capacity() < self.staged.capacity() {
-                    self.slots[slot] = Vec::from(std::mem::take(&mut self.staged));
-                }
-            }
-        }
-        ev
-    }
-
-    fn peek(&mut self) -> Option<&Event> {
-        if self.ensure_staged() {
-            self.staged.front()
-        } else {
-            None
-        }
-    }
-}
-
-#[derive(Debug)]
-enum QueueImpl {
-    Heap(BinaryHeap<Event>),
-    Wheel(Box<Wheel>),
-}
-
 /// A monotonic priority queue of events.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    imp: QueueImpl,
+    heap: BinaryHeap<Event>,
     next_seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new(QueueKind::default())
-    }
-}
-
 impl EventQueue {
-    pub fn new(kind: QueueKind) -> Self {
-        let imp = match kind {
-            QueueKind::BinaryHeap => QueueImpl::Heap(BinaryHeap::new()),
-            QueueKind::TimerWheel => QueueImpl::Wheel(Box::new(Wheel::new())),
-        };
-        EventQueue { imp, next_seq: 0 }
-    }
-
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event { at, seq, kind };
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.push(ev),
-            QueueImpl::Wheel(w) => w.push(ev),
-        }
+        self.heap.push(Event { at, seq, kind });
     }
 
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.pop(),
-            QueueImpl::Wheel(w) => w.pop(),
-        }
+        self.heap.pop()
     }
 
-    /// The next event, without popping it. `&mut` because the wheel may have
-    /// to stage its next bucket to know the answer.
-    pub fn peek(&mut self) -> Option<&Event> {
-        match &mut self.imp {
-            QueueImpl::Heap(h) => h.peek(),
-            QueueImpl::Wheel(w) => w.peek(),
-        }
-    }
-
-    /// Pops the next event only if `pred` accepts it (ACK-batching hook).
-    pub fn pop_if(&mut self, pred: impl FnOnce(&Event) -> bool) -> Option<Event> {
-        if self.peek().is_some_and(pred) {
-            self.pop()
-        } else {
-            None
-        }
-    }
-
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek().map(|e| e.at)
+    /// The time of the next event, without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
     }
 
     pub fn len(&self) -> usize {
-        match &self.imp {
-            QueueImpl::Heap(h) => h.len(),
-            QueueImpl::Wheel(w) => w.count,
-        }
-    }
-
-    #[allow(dead_code)] // used by tests and kept for API symmetry
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use proptest::prelude::*;
 
     fn timer(token: u64) -> EventKind {
         EventKind::Timer { agent: 0, token }
     }
 
-    fn both_kinds() -> [EventQueue; 2] {
-        [EventQueue::new(QueueKind::TimerWheel), EventQueue::new(QueueKind::BinaryHeap)]
+    fn token_of(ev: &Event) -> u64 {
+        match ev.kind {
+            EventKind::Timer { token, .. } => token,
+            _ => panic!("wrong kind"),
+        }
     }
 
     #[test]
     fn pops_in_time_then_fifo_order() {
-        for mut q in both_kinds() {
-            q.push(SimTime::from_nanos(20), timer(1));
-            q.push(SimTime::from_nanos(10), timer(2));
-            q.push(SimTime::from_nanos(10), timer(3));
-
-            let first = q.pop().unwrap();
-            assert_eq!(first.at, SimTime::from_nanos(10));
-            match first.kind {
-                EventKind::Timer { token, .. } => assert_eq!(token, 2),
-                _ => panic!("wrong kind"),
-            }
-            let second = q.pop().unwrap();
-            match second.kind {
-                EventKind::Timer { token, .. } => assert_eq!(token, 3),
-                _ => panic!("wrong kind"),
-            }
-            let third = q.pop().unwrap();
-            assert_eq!(third.at, SimTime::from_nanos(20));
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::default();
+        q.push(SimTime::from_nanos(20), timer(1));
+        q.push(SimTime::from_nanos(10), timer(2));
+        q.push(SimTime::from_nanos(10), timer(3));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.len(), 3);
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| q.pop()).map(|e| (e.at.as_nanos(), token_of(&e))).collect();
+        assert_eq!(order, vec![(10, 2), (10, 3), (20, 1)]);
+        assert_eq!(q.peek_time(), None);
     }
 
+    /// Heap sift cost scales with the event size; a boxed-packet arm in
+    /// `PacketSlot` would grow it to 48 bytes.
     #[test]
-    fn peek_time_reports_earliest() {
-        for mut q in both_kinds() {
-            assert_eq!(q.peek_time(), None);
-            q.push(SimTime::from_nanos(5), timer(0));
-            q.push(SimTime::from_nanos(2), timer(0));
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
-            assert_eq!(q.len(), 2);
-            assert!(!q.is_empty());
-        }
+    #[cfg(target_pointer_width = "64")]
+    fn event_is_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
     }
 
-    #[test]
-    fn wheel_handles_far_future_and_bucket_wrap() {
-        let mut q = EventQueue::new(QueueKind::TimerWheel);
-        // One event far past the wheel horizon, one close by.
-        q.push(SimTime::from_secs_f64(10.0), timer(100));
-        q.push(SimTime::from_nanos(50), timer(1));
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(50)));
-        match q.pop().unwrap().kind {
-            EventKind::Timer { token, .. } => assert_eq!(token, 1),
-            _ => panic!("wrong kind"),
-        }
-        // Queue jumps across the empty horizon to the far event.
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(10.0)));
-        match q.pop().unwrap().kind {
-            EventKind::Timer { token, .. } => assert_eq!(token, 100),
-            _ => panic!("wrong kind"),
-        }
-        assert!(q.pop().is_none());
+    /// One step of a random queue workload: push an event `delta` ns after
+    /// the current clock, or pop the next event.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push(u64),
+        Pop,
     }
 
-    #[test]
-    fn push_into_staged_bucket_keeps_fifo() {
-        let mut q = EventQueue::new(QueueKind::TimerWheel);
-        let t = SimTime::from_nanos(1000);
-        q.push(t, timer(1));
-        q.push(t, timer(2));
-        // Staging happens on peek; a push at the same time afterwards must
-        // still pop last among its equals.
-        assert_eq!(q.peek_time(), Some(t));
-        q.push(t, timer(3));
-        let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Timer { token, .. } => token,
-                _ => panic!("wrong kind"),
-            })
-            .collect();
-        assert_eq!(tokens, vec![1, 2, 3]);
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Same-time bursts, link-scale gaps and far-future (RTO-scale)
+            // timers, as the simulator produces them.
+            Just(Op::Push(0)),
+            (0u64..2_000).prop_map(Op::Push),
+            (0u64..200_000_000).prop_map(Op::Push),
+            (1_000_000_000u64..5_000_000_000).prop_map(Op::Push),
+            Just(Op::Pop),
+        ]
     }
 
-    /// The central equivalence pin at the queue level: a randomized
-    /// push/pop workload (monotone non-decreasing push times, as the
-    /// simulator guarantees) drains in the identical order from both
-    /// backends.
-    #[test]
-    fn wheel_and_heap_drain_identically_under_random_workload() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut wheel = EventQueue::new(QueueKind::TimerWheel);
-        let mut heap = EventQueue::new(QueueKind::BinaryHeap);
-        let mut now = 0u64;
-        let mut token = 0u64;
-        for _ in 0..5_000 {
-            if rng.gen_bool(0.6) {
-                // Mixed horizons: same bucket, nearby buckets, far future.
-                let delta: u64 = match rng.gen_range(0..4u32) {
-                    0 => rng.gen_range(0..1_000),
-                    1 => rng.gen_range(0..2_000_000),
-                    2 => rng.gen_range(0..200_000_000),
-                    _ => rng.gen_range(0..5_000_000_000),
-                };
-                token += 1;
-                wheel.push(SimTime::from_nanos(now + delta), timer(token));
-                heap.push(SimTime::from_nanos(now + delta), timer(token));
-            } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                match (&a, &b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.at, y.at);
-                        match (&x.kind, &y.kind) {
-                            (
-                                EventKind::Timer { token: ta, .. },
-                                EventKind::Timer { token: tb, .. },
-                            ) => assert_eq!(ta, tb),
-                            _ => panic!("wrong kinds"),
-                        }
-                        now = now.max(x.at.as_nanos());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push/pop sequences with non-decreasing push times (pushes
+        /// never predate the last pop, as in the simulator) drain in exactly
+        /// `(time, insertion order)`: the order of a stable sort by time.
+        #[test]
+        fn drains_in_time_then_insertion_order(ops in proptest::collection::vec(op(), 0..400)) {
+            let mut q = EventQueue::default();
+            // Oracle: pending `(time, token)` pairs kept stable-sorted by time.
+            let mut oracle: Vec<(u64, u64)> = Vec::new();
+            let mut now = 0u64;
+            let mut token = 0u64;
+            let pop_both = |q: &mut EventQueue, oracle: &mut Vec<(u64, u64)>| {
+                let got = q.pop().map(|e| (e.at.as_nanos(), token_of(&e)));
+                let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                (got, want)
+            };
+            for op in ops {
+                match op {
+                    Op::Push(delta) => {
+                        token += 1;
+                        q.push(SimTime::from_nanos(now + delta), timer(token));
+                        oracle.push((now + delta, token));
+                        oracle.sort_by_key(|&(at, _)| at);
                     }
-                    _ => panic!("one backend drained early: {a:?} vs {b:?}"),
+                    Op::Pop => {
+                        let (got, want) = pop_both(&mut q, &mut oracle);
+                        prop_assert_eq!(got, want);
+                        if let Some((at, _)) = got {
+                            now = at;
+                        }
+                    }
                 }
+                prop_assert_eq!(q.len(), oracle.len());
+                prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), oracle.first().map(|e| e.0));
             }
-        }
-        // Drain the rest in lockstep.
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.at, y.at);
-                }
-                (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
+            while !oracle.is_empty() {
+                let (got, want) = pop_both(&mut q, &mut oracle);
+                prop_assert_eq!(got, want);
             }
+            prop_assert!(q.pop().is_none());
         }
     }
 }
